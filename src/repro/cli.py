@@ -429,22 +429,19 @@ def _cmd_figure(name: str, requests: Optional[int],
 
     def _n_requests(fig_name: str) -> Optional[int]:
         # Multi-VM figures take per-VM counts; leave their defaults.
-        if requests is not None and "figure1" not in fig_name[:8] \
-                and fig_name not in ("figure15", "figure16"):
-            return requests
-        return None
+        _family, n_vms, _pinned = figures_module.FIGURE_GRIDS[fig_name]
+        return requests if n_vms == 0 else None
 
-    if jobs > 1:
-        # Fan the grid cells behind the requested figures out across
-        # workers; the figure functions below then hit the cache.
-        groups: dict = {}
-        for fig_name in names:
-            groups.setdefault(_n_requests(fig_name), []).append(fig_name)
-        for n_req, group in groups.items():
-            if n_req is None:
-                figures_module.prewarm(group, jobs=jobs)
-            else:
-                figures_module.prewarm(group, n_requests=n_req, jobs=jobs)
+    # Run the grid cells behind the requested figures across the
+    # workers; the figure functions below then hit the cache.
+    groups: dict = {}
+    for fig_name in names:
+        groups.setdefault(_n_requests(fig_name), []).append(fig_name)
+    for n_req, group in groups.items():
+        if n_req is None:
+            figures_module.prewarm(group, jobs=jobs)
+        else:
+            figures_module.prewarm(group, n_requests=n_req, jobs=jobs)
     for fig_name in names:
         fn = figures_module.ALL_FIGURES[fig_name]
         kwargs = {}
@@ -471,15 +468,12 @@ def _cmd_profile(workload_name: str, requests: int) -> int:
 def _cmd_sweep(parameter: str, raw_values: List[str],
                requests: int, jobs: int = 1, ledger=None) -> int:
     from repro.experiments.parallel import RunSpec
-    from repro.workloads import SysBenchWorkload
 
     values = [_parse_value(v) for v in raw_values]
     try:
         points = sweep_config(
-            lambda: SysBenchWorkload(n_requests=requests),
-            parameter, values, jobs=jobs,
-            base_spec=RunSpec(workload="sysbench", n_requests=requests),
-            ledger=ledger)
+            RunSpec(workload="sysbench", n_requests=requests),
+            parameter, values, jobs=jobs, ledger=ledger)
     except TypeError as error:
         print(f"bad parameter {parameter!r}: {error}", file=sys.stderr)
         return 2
@@ -681,18 +675,14 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
     from repro.experiments import loadtest
     from repro.experiments.parallel import RunSpec
 
-    def workload_factory():
-        return _WORKLOADS[workload_name](n_requests=requests)
-
-    base_spec = RunSpec(workload=workload_name, n_requests=requests)
+    base = RunSpec(workload=workload_name, n_requests=requests)
 
     if compare:
         print(f"comparing architectures at their saturation knees "
               f"({workload_name}, {requests} requests/run)...")
         reports = loadtest.compare_at_knee(
-            workload_factory, distribution=distribution, seed=seed,
-            progress=True, jobs=jobs, base_spec=base_spec,
-            ledger=ledger)
+            base, distribution=distribution, seed=seed,
+            progress=True, jobs=jobs, ledger=ledger)
         print(loadtest.render_comparison(reports))
         _ledger_note(ledger)
         return 0
@@ -702,8 +692,7 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
         print(f"{workload_name} on {system_name}: sweeping "
               f"{len(sweep)} explicit rates ({distribution} arrivals)")
     else:
-        capacity = loadtest.calibrate_capacity(workload_factory,
-                                               system_name,
+        capacity = loadtest.calibrate_capacity(base, system_name,
                                                ledger=ledger)
         span_t = tuple(span) if span is not None \
             else loadtest.DEFAULT_SPAN
@@ -712,10 +701,9 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
               f"{capacity:.0f} requests/s; sweeping {len(sweep)} rates "
               f"across {span_t[0]:.1f}-{span_t[1]:.1f}x "
               f"({distribution} arrivals)")
-    curve = loadtest.sweep_rates(workload_factory, system_name, sweep,
+    curve = loadtest.sweep_rates(base, system_name, sweep,
                                  distribution=distribution, seed=seed,
-                                 jobs=jobs, base_spec=base_spec,
-                                 ledger=ledger)
+                                 jobs=jobs, ledger=ledger)
     print()
     print(loadtest.render_curve(curve))
     if csv_path is not None:

@@ -76,11 +76,6 @@ class _DeltaMapEntry:
 class ICASHController(StorageSystem):
     """One I-CASH storage element over a logical 4 KB block space."""
 
-    #: Chunked ingest sweep with speculative batch delta encoding; the
-    #: scalar sweep stays available (tests flip this per instance) as
-    #: the golden reference the batched path must match bit for bit.
-    use_batch_ingest = True
-
     def __init__(self, initial_content: np.ndarray,
                  config: Optional[ICASHConfig] = None,
                  hdd_spec: Optional[HDDSpec] = None,
@@ -294,12 +289,7 @@ class ICASHController(StorageSystem):
             self.backing.view_all(), config.signature_scheme)
         all_signatures = signature_tuples(sig_matrix)
         self.heatmap.record_batch(sig_matrix)
-        if self.use_batch_ingest:
-            total = self._ingest_sweep_batched(all_signatures, index,
-                                               pending)
-        else:
-            total = self._ingest_sweep_scalar(all_signatures, index,
-                                              pending)
+        total = self._ingest_sweep_batched(all_signatures, index, pending)
         if pending:
             total += self._append_to_log(pending, relogging=False)
             self.stats.bump("ingest_deltas", len(pending))
@@ -318,21 +308,6 @@ class ICASHController(StorageSystem):
                 vb.delta_dirty = False
                 self._bump_associate_count(record.ref_lba, +1)
         return total
-
-    def _ingest_best_reference(self, signatures: Tuple[int, ...],
-                               index: Dict[Tuple[int, int], List[int]]
-                               ) -> Optional[int]:
-        tallies: Dict[int, int] = {}
-        for row, value in enumerate(signatures):
-            for ref_lba in index.get((row, value), ()):
-                tallies[ref_lba] = tallies.get(ref_lba, 0) + 1
-        self.cpu_time += max(1, len(tallies)) * self.config.scan_compare_s
-        if not tallies:
-            return None
-        best = max(tallies, key=lambda k: tallies[k])
-        if tallies[best] < self.config.min_signature_match:
-            return None
-        return best
 
     def _ingest_promote(self, lba: int, content: np.ndarray,
                         signatures: Tuple[int, ...],
@@ -355,31 +330,6 @@ class ICASHController(StorageSystem):
         self.stats.bump("ingest_references")
         return latency
 
-    def _ingest_sweep_scalar(self, all_signatures: List[Tuple[int, ...]],
-                             index: Dict[Tuple[int, int], List[int]],
-                             pending: List[DeltaRecord]) -> float:
-        """Reference scalar sweep: one best-reference lookup and one
-        ``encode_delta`` per block, in LBA order.  Kept as the golden
-        semantics that the batched sweep must reproduce exactly."""
-        config = self.config
-        total = 0.0
-        for lba in range(self.capacity_blocks):
-            total += self.hdd.read(lba, 1)  # sequential sweep
-            content = self.backing.view(lba)
-            signatures = all_signatures[lba]
-            best_lba = self._ingest_best_reference(signatures, index)
-            if best_lba is not None:
-                delta = encode_delta(content, self._ssd_data[best_lba])
-                self.cpu_time += config.compress_s
-                if delta.size_bytes <= config.delta_accept_bytes:
-                    pending.append(DeltaRecord(lba, best_lba, delta))
-                    self._map_delta(lba, best_lba)
-                    continue
-            promoted = self._ingest_promote(lba, content, signatures, index)
-            if promoted is not None:
-                total += promoted
-        return total
-
     #: Blocks per speculation window of the batched ingest sweep.
     INGEST_CHUNK = 256
 
@@ -388,7 +338,11 @@ class ICASHController(StorageSystem):
                               pending: List[DeltaRecord]) -> float:
         """Chunked sweep with speculative batch delta encoding.
 
-        Equivalence to ``_ingest_sweep_scalar`` rests on three facts:
+        The golden semantics (kept in the tests as the oracle) is a
+        scalar sweep in LBA order: per block, tally the matching
+        references in the ``(row, value)`` index, take the ``max`` tally,
+        and ``encode_delta`` against it.  This sweep is bit-identical to
+        that one by three facts:
 
         * The scalar best pick (``max`` over an insertion-ordered tally
           dict) equals ``min`` over ``(-count, first_matching_row,
@@ -398,8 +352,8 @@ class ICASHController(StorageSystem):
           promotion happens in sweep order.
         * References are immutable once promoted, so the chunk-start
           index yields the correct best for every block not beaten by an
-          intra-chunk promotion; those rare blocks fall back to the
-          scalar ``encode_delta`` path.
+          intra-chunk promotion; those rare blocks fall back to a single
+          ``encode_delta`` call.
         * Device calls (``hdd.read``/``ssd.write``) and the per-block
           ``cpu_time`` additions run in the same order with the same
           values, so stateful latency models and float accumulation are

@@ -29,14 +29,14 @@ REF_CANDIDATE_FRACTION = 0.10
 
 
 class SignatureIndex:
-    """Incrementally maintained ``(row, value) -> reference blocks`` map.
+    """Incrementally maintained ``lba -> (reference, signatures)`` index.
 
-    The direct implementation (:meth:`SimilarityScanner._index_by_signature`)
-    rebuilds this mapping from scratch on every scan — eight dict operations
-    per reference per scan.  This class keeps the mapping alive across
-    scans: the controller notifies it when references appear, change
-    content, or retire, and each scan merely *syncs* the window's
-    references (a no-op when nothing changed).
+    The direct implementation rebuilds a ``(row, value) -> references``
+    map from scratch on every scan — eight dict operations per reference
+    per scan.  This index instead lives across scans: the controller
+    notifies it when references appear, change content, or retire, and
+    each scan merely *syncs* the window's references (a no-op when
+    nothing changed).
 
     Correctness does not depend on the notifications being complete: the
     per-scan sync re-adds any window reference whose entry is missing or
@@ -46,9 +46,6 @@ class SignatureIndex:
     """
 
     def __init__(self) -> None:
-        #: ``(row, value) -> {lba: block}`` — dict-valued cells so discard
-        #: is O(1) instead of a list scan.
-        self._cells: Dict[Tuple[int, int], Dict[int, VirtualBlock]] = {}
         #: ``lba -> (block, signatures-at-insert)``; the recorded
         #: signatures let :meth:`sync` detect content refreshes.
         self._entries: Dict[int, Tuple[VirtualBlock, Tuple[int, ...]]] = {}
@@ -57,28 +54,15 @@ class SignatureIndex:
         return len(self._entries)
 
     def add(self, vb: VirtualBlock) -> None:
-        """Index ``vb`` under each of its sub-signatures (replacing any
-        previous entry for the same LBA)."""
+        """Index ``vb`` with its sub-signatures (replacing any previous
+        entry for the same LBA)."""
         if not vb.signatures:
             return
-        self.discard(vb.lba)
-        sigs = tuple(vb.signatures)
-        self._entries[vb.lba] = (vb, sigs)
-        for row, value in enumerate(sigs):
-            self._cells.setdefault((row, value), {})[vb.lba] = vb
+        self._entries[vb.lba] = (vb, tuple(vb.signatures))
 
     def discard(self, lba: int) -> None:
         """Forget the reference at ``lba`` (no-op when absent)."""
-        entry = self._entries.pop(lba, None)
-        if entry is None:
-            return
-        _vb, sigs = entry
-        for row, value in enumerate(sigs):
-            cell = self._cells.get((row, value))
-            if cell is not None:
-                cell.pop(lba, None)
-                if not cell:
-                    del self._cells[(row, value)]
+        self._entries.pop(lba, None)
 
     def sync(self, vb: VirtualBlock) -> None:
         """Ensure the index entry for ``vb`` is current (self-healing)."""
@@ -95,8 +79,7 @@ class SignatureIndex:
 
         ``cand_sigs`` is an ``(N, SUB_BLOCKS)`` integer matrix;
         ``rank_of`` maps reference LBAs to their popularity rank (stale
-        index entries absent from it are ignored, exactly as the scalar
-        tally loop does).  Each result slot is ``(count, first_row,
+        index entries absent from it are ignored).  Each result slot is ``(count, first_row,
         rank, ref)`` for the reference minimising ``(-count, first_row,
         rank)`` — the scalar tie-break — plus ``tallies``, the number of
         references sharing at least one sub-signature (the scalar
@@ -139,17 +122,7 @@ class SignatureIndex:
                             int(tallies[i])))
         return out
 
-    def candidates(self, row: int, value: int) -> Sequence[VirtualBlock]:
-        """References carrying sub-signature ``value`` at ``row``.
-
-        The returned view must not be retained across an :meth:`add` or
-        :meth:`discard` — the scanner consumes it immediately.
-        """
-        cell = self._cells.get((row, value))
-        return cell.values() if cell else ()
-
     def clear(self) -> None:
-        self._cells.clear()
         self._entries.clear()
 
 
@@ -204,22 +177,12 @@ class SimilarityScanner:
 
     def __init__(self, heatmap: Heatmap, min_signature_match: int,
                  delta_accept_bytes: int, scan_compare_s: float,
-                 compress_s: float,
-                 use_incremental_index: bool = True,
-                 use_batch_match: bool = True) -> None:
+                 compress_s: float) -> None:
         self.heatmap = heatmap
         self.min_signature_match = min_signature_match
         self.delta_accept_bytes = delta_accept_bytes
         self.scan_compare_s = scan_compare_s
         self.compress_s = compress_s
-        #: ``False`` falls back to rebuilding the signature index per scan
-        #: (the direct implementation) — golden-equivalence tests run both
-        #: paths and require identical results.
-        self.use_incremental_index = use_incremental_index
-        #: Vectorised candidate-vs-index matching (requires the
-        #: incremental index); ``False`` keeps the per-candidate tally
-        #: loop.  All three modes are golden-equivalence tested.
-        self.use_batch_match = use_batch_match
         self.signature_index = SignatureIndex()
 
     def note_reference(self, vb: VirtualBlock) -> None:
@@ -243,6 +206,15 @@ class SimilarityScanner:
 
         ``max_new_references`` lets the controller cap promotions at its
         free SSD slots.
+
+        The result is byte-identical to the direct implementation, which
+        ranks with :func:`popularity_ranking`, rebuilds a ``(row, value)
+        -> references`` map each scan and keeps the first-inserted
+        highest tally per candidate (the tests keep it as the oracle).
+        Its insertion order is (first matching signature row, position
+        in the cell's list) — popularity rank for window references,
+        promotion order for mid-scan promotions — so minimising
+        ``(-count, first_row, rank)`` selects the same reference.
         """
         result = ScanResult()
         candidates = [vb for vb in cache.mru_window(window) if vb.signatures]
@@ -250,21 +222,15 @@ class SimilarityScanner:
         if not candidates:
             return result
 
-        batched = self.use_batch_match and self.use_incremental_index
-        if batched:
-            # Batch tier: one popularity gather over the whole window,
-            # then a stable argsort identical to popularity_ranking's
-            # stable sort on (-popularity).
-            sig_matrix = np.asarray(
-                [vb.signatures for vb in candidates], dtype=np.int64)
-            pops = self.heatmap.popularity_batch(sig_matrix).tolist()
-            order = sorted(range(len(candidates)), key=lambda i: -pops[i])
-            ranked = [(candidates[i], pops[i]) for i in order]
-            ranked_sigs = sig_matrix[order]
-        else:
-            ranked = popularity_ranking(
-                [(vb, vb.signatures) for vb in candidates], self.heatmap)
-            ranked_sigs = None
+        # One popularity gather over the whole window, then a stable
+        # argsort identical to popularity_ranking's stable sort on
+        # (-popularity).
+        sig_matrix = np.asarray(
+            [vb.signatures for vb in candidates], dtype=np.int64)
+        pops = self.heatmap.popularity_batch(sig_matrix).tolist()
+        order = sorted(range(len(candidates)), key=lambda i: -pops[i])
+        ranked = [(candidates[i], pops[i]) for i in order]
+        ranked_sigs = sig_matrix[order]
         result.cpu_time += len(ranked) * self.scan_compare_s
 
         # One pass in popularity order (Table 2's semantics): a block that
@@ -274,30 +240,18 @@ class SimilarityScanner:
         # reference coverage across content clusters instead of piling
         # redundant references into the hottest one.
         refs: List[VirtualBlock] = [vb for vb, _ in ranked if vb.is_reference]
-        incremental = self.use_incremental_index
-        if incremental:
-            # Heal the persistent index for this window (no-op per ref
-            # when notifications kept it current) and rank the window's
-            # references by popularity position: the rank reproduces the
-            # direct implementation's tie-break, where a cell lists
-            # window references in ranked order followed by references
-            # promoted mid-scan in promotion order.
-            for ref in refs:
-                self.signature_index.sync(ref)
-            rank_of: Dict[int, int] = {
-                ref.lba: pos for pos, ref in enumerate(refs)}
-            next_rank = len(refs)
-            index: Dict[Tuple[int, int], List[VirtualBlock]] = {}
-        else:
-            rank_of = {}
-            next_rank = 0
-            index = self._index_by_signature(refs)
-        if batched:
-            # One vectorised pass against the window's references; blocks
-            # promoted mid-scan are folded in per candidate below.
-            base_match = self.signature_index.match_batch(
-                ranked_sigs, rank_of)
-            promoted: List[Tuple[int, VirtualBlock]] = []
+        # Heal the persistent index for this window (no-op per ref when
+        # notifications kept it current) and rank the window's references
+        # by popularity position.
+        for ref in refs:
+            self.signature_index.sync(ref)
+        rank_of: Dict[int, int] = {
+            ref.lba: pos for pos, ref in enumerate(refs)}
+        next_rank = len(refs)
+        # One vectorised pass against the window's references; blocks
+        # promoted mid-scan are folded in per candidate below.
+        base_match = self.signature_index.match_batch(ranked_sigs, rank_of)
+        promoted: List[Tuple[int, VirtualBlock]] = []
         promotable = min(max_new_references,
                          max(4, int(len(ranked) * REF_CANDIDATE_FRACTION)))
         for pos, (vb, _pop) in enumerate(ranked):
@@ -308,13 +262,8 @@ class SimilarityScanner:
             content = content_fn(vb)
             if content is None:
                 continue
-            if batched:
-                best = self._best_reference_batched(
-                    vb, base_match[pos], promoted, result)
-            elif incremental:
-                best = self._best_reference_indexed(vb, rank_of, result)
-            else:
-                best = self._best_reference(vb, index, result)
+            best = self._best_reference(vb, base_match[pos], promoted,
+                                        result)
             if best is not None and best.lba != vb.lba:
                 ref_content = content_fn(best)
                 if ref_content is not None:
@@ -326,23 +275,19 @@ class SimilarityScanner:
                         continue
             if len(result.new_references) < promotable:
                 result.new_references.append(vb)
-                if incremental:
-                    self.signature_index.add(vb)
-                    rank_of[vb.lba] = next_rank
-                    if batched:
-                        promoted.append((next_rank, vb))
-                    next_rank += 1
-                else:
-                    for row, value in enumerate(vb.signatures):
-                        index.setdefault((row, value), []).append(vb)
+                self.signature_index.add(vb)
+                rank_of[vb.lba] = next_rank
+                promoted.append((next_rank, vb))
+                next_rank += 1
         return result
 
-    def _best_reference_batched(
+    def _best_reference(
             self, vb: VirtualBlock,
             base: Tuple[Optional[Tuple[int, int, int, VirtualBlock]], int],
             promoted: Sequence[Tuple[int, VirtualBlock]],
             result: ScanResult) -> Optional[VirtualBlock]:
-        """Batched counterpart of :meth:`_best_reference_indexed`.
+        """Reference with the highest signature overlap, if it clears the
+        minimum-match bar.
 
         ``base`` is this candidate's precomputed slot from
         :meth:`SignatureIndex.match_batch` (window references only);
@@ -377,81 +322,6 @@ class SimilarityScanner:
         if best is None:
             return None
         if -best_key[0] < self.min_signature_match:
-            return None
-        if signature_overlap(vb.signatures, best.signatures) \
-                < self.min_signature_match:
-            return None
-        return best
-
-    @staticmethod
-    def _index_by_signature(refs: Sequence[VirtualBlock],
-                            ) -> Dict[Tuple[int, int], List[VirtualBlock]]:
-        """(row, value) -> reference blocks carrying that sub-signature."""
-        index: Dict[Tuple[int, int], List[VirtualBlock]] = {}
-        for ref in refs:
-            for row, value in enumerate(ref.signatures):
-                index.setdefault((row, value), []).append(ref)
-        return index
-
-    def _best_reference_indexed(self, vb: VirtualBlock,
-                                rank_of: Dict[int, int],
-                                result: ScanResult,
-                                ) -> Optional[VirtualBlock]:
-        """Indexed counterpart of :meth:`_best_reference`.
-
-        The direct implementation's ``max`` keeps the *first-inserted*
-        maximum, and insertion order there is lexicographic by (first
-        matching signature row, position in the cell's list) — which for
-        window references is their popularity rank and for mid-scan
-        promotions their promotion order.  Selecting the minimum of
-        ``(-count, first_row, rank)`` is therefore byte-identical, while
-        letting the persistent index hold references in any order and
-        ignore entries outside the current window.
-        """
-        # lba -> [tally, first matching row, rank, block]
-        tallies: Dict[int, List] = {}
-        for row, value in enumerate(vb.signatures):
-            for ref in self.signature_index.candidates(row, value):
-                rank = rank_of.get(ref.lba)
-                if rank is None:
-                    continue  # stale entry: not a reference this window
-                entry = tallies.get(ref.lba)
-                if entry is None:
-                    tallies[ref.lba] = [1, row, rank, ref]
-                else:
-                    entry[0] += 1
-        result.comparisons += len(tallies)
-        result.cpu_time += len(tallies) * self.scan_compare_s
-        if not tallies:
-            return None
-        count, _row, _rank, best = min(
-            tallies.values(), key=lambda e: (-e[0], e[1], e[2]))
-        if count < self.min_signature_match:
-            return None
-        if signature_overlap(vb.signatures, best.signatures) \
-                < self.min_signature_match:
-            return None
-        return best
-
-    def _best_reference(self, vb: VirtualBlock,
-                        index: Dict[Tuple[int, int], List[VirtualBlock]],
-                        result: ScanResult) -> Optional[VirtualBlock]:
-        """Reference with the highest signature overlap, if it clears the
-        minimum-match bar."""
-        tallies: Dict[int, int] = {}
-        by_id: Dict[int, VirtualBlock] = {}
-        for row, value in enumerate(vb.signatures):
-            for ref in index.get((row, value), ()):
-                tallies[id(ref)] = tallies.get(id(ref), 0) + 1
-                by_id[id(ref)] = ref
-        result.comparisons += len(tallies)
-        result.cpu_time += len(tallies) * self.scan_compare_s
-        if not tallies:
-            return None
-        best_id = max(tallies, key=lambda k: tallies[k])
-        best = by_id[best_id]
-        # Exact tally beats re-deriving overlap, but guard the invariant.
-        if tallies[best_id] < self.min_signature_match:
             return None
         if signature_overlap(vb.signatures, best.signatures) \
                 < self.min_signature_match:

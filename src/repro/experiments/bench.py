@@ -26,10 +26,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import make_system
-from repro.sim.profile import Profiler
-from repro.workloads import ALL_WORKLOADS
+from repro.experiments.runner import RunResult
 
 #: Version of the ``BENCH_<n>.json`` layout (documented in
 #: docs/OBSERVABILITY.md, doc-parity tested).  Bump on any breaking
@@ -41,9 +38,6 @@ from repro.workloads import ALL_WORKLOADS
 #: ledger (docs/LEDGER.md) when one was recording, else null; like
 #: ``host_wall_s`` it is provenance, never a compared metric.
 BENCH_SCHEMA_VERSION = 3
-
-_WORKLOADS = {cls.name: cls for cls in ALL_WORKLOADS}
-
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -100,20 +94,9 @@ METRIC_POLICY: Dict[str, Tuple[str, float, Optional[str]]] = {
 NOISE_Z = 3.0
 
 
-def run_case(case: BenchCase) -> RunResult:
-    """Run one suite entry with the profiler attached."""
-    cls = _WORKLOADS[case.workload]
-    workload = cls(scale=case.scale, n_requests=case.n_requests,
-                   seed=case.seed)
-    system = make_system(case.system, workload)
-    return run_benchmark(workload, system, engine=case.engine,
-                         profiler=Profiler())
-
-
 def case_spec(case: BenchCase):
-    """The :class:`~repro.experiments.parallel.RunSpec` equivalent of
-    :func:`run_case` — same workload construction, engine, and attached
-    profiler, so the result is bit-identical wherever it executes."""
+    """The :class:`~repro.experiments.parallel.RunSpec` of one suite
+    entry, with the profiler attached."""
     from repro.experiments.parallel import RunSpec
 
     return RunSpec(workload=case.workload, system=case.system,

@@ -25,15 +25,14 @@ CI gate, not a dice roll.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.loadtest import calibrate_capacity
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
-from repro.experiments.systems import make_system
 from repro.sim.faults import FAULT_KINDS, FaultPlan
-from repro.sim.load import OpenLoopLoad
 from repro.sim.metrics import Monitor, SLORule
 from repro.workloads import ALL_WORKLOADS
 
@@ -213,13 +212,13 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _workload_factory(name: str, n_requests: int):
-    classes = {cls.name: cls for cls in ALL_WORKLOADS}
-    if name not in classes:
+def _workload_spec(name: str, n_requests: int) -> RunSpec:
+    """The I-CASH run a chaos scenario injects its fault into."""
+    names = sorted(cls.name for cls in ALL_WORKLOADS)
+    if name not in names:
         raise ValueError(f"unknown chaos workload {name!r}; pick one "
-                         f"of {sorted(classes)}")
-    cls = classes[name]
-    return lambda: cls(n_requests=n_requests)
+                         f"of {names}")
+    return RunSpec(workload=name, n_requests=n_requests)
 
 
 def run_scenario(scenario: ChaosScenario, seed: int = 1234,
@@ -236,17 +235,21 @@ def run_scenario(scenario: ChaosScenario, seed: int = 1234,
     scenario's run — provenance, metric snapshot, fault outcomes —
     plus the verdict under ``command="chaos"``.
     """
-    factory = _workload_factory(scenario.workload, n_requests)
+    spec = _workload_spec(scenario.workload, n_requests)
     if capacity_rps is None:
-        capacity_rps = calibrate_capacity(factory, "icash")
-    workload = factory()
-    system = make_system("icash", workload)
+        capacity_rps = calibrate_capacity(spec, "icash")
+    # A RunSpec cannot carry the fault plan or the monitor, so the
+    # scenario runs run_benchmark directly on the spec's parts.
+    spec = replace(spec, engine="event",
+                   load=("open", LOAD_FRACTION * capacity_rps, "poisson",
+                         seed))
+    workload = spec.build_workload()
     plan = FaultPlan.single(scenario.fault_kind,
                             at_request=n_requests // 2, seed=seed)
     monitor = Monitor(interval_s=0.02, rules=scenario_rules())
     result = run_benchmark(
-        workload, system, engine="event",
-        load=OpenLoopLoad(LOAD_FRACTION * capacity_rps, seed=seed),
+        workload, spec.build_system(workload), engine=spec.engine,
+        warmup_fraction=spec.warmup_fraction, load=spec.build_load(),
         monitor=monitor, fault_plan=plan)
     report = result.faults
     outcome = report.outcomes[0]
@@ -291,8 +294,7 @@ def run_scenario(scenario: ChaosScenario, seed: int = 1234,
         notes="; ".join(notes))
     if ledger is not None and getattr(ledger, "enabled", False):
         ledger.record(
-            result, command="chaos",
-            spec={"seed": seed},
+            result, command="chaos", spec=spec,
             extra={"scenario": scenario.scenario_id,
                    "fault_kind": scenario.fault_kind,
                    "passed": verdict.passed,
@@ -309,9 +311,8 @@ def run_matrix(scenarios: Sequence[ChaosScenario] = SCENARIOS,
     verdicts: List[ChaosVerdict] = []
     for scenario in scenarios:
         if scenario.workload not in capacity_cache:
-            factory = _workload_factory(scenario.workload, n_requests)
             capacity_cache[scenario.workload] = calibrate_capacity(
-                factory, "icash")
+                _workload_spec(scenario.workload, n_requests), "icash")
         if progress is not None:
             progress(f"chaos: {scenario.scenario_id} ...")
         verdicts.append(run_scenario(

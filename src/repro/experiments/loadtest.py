@@ -25,12 +25,13 @@ I-CASH and every baseline side by side at their own saturation points.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
+from repro.experiments import parallel
+from repro.experiments.parallel import RunSpec, SpecOutcome
+from repro.experiments.runner import RunResult
+from repro.experiments.systems import SYSTEM_NAMES
 
 #: Default sweep span as fractions of the calibrated capacity: from
 #: comfortably under the knee to well past it.
@@ -72,38 +73,15 @@ def _pooled_p99_ms(result: RunResult) -> float:
     return max(result.read_p99_us, result.write_p99_us) / 1e3
 
 
-def run_rate_point(workload_factory, system_name: str, rate_rps: float,
-                   distribution: str = "poisson",
-                   seed: int = 1234,
-                   ledger=None) -> Tuple[RatePoint, RunResult]:
-    """Measure one open-loop arrival rate against a fresh system."""
-    workload = workload_factory()
-    system = make_system(system_name, workload)
-    load = OpenLoopLoad(rate_rps, distribution=distribution, seed=seed)
-    # No warmup cut (the transient is part of what a rate probe
-    # measures) and no end-of-run flush: the flush is constant
-    # bookkeeping that would dilute low-rate efficiency and blur the
-    # knee.
-    result = run_benchmark(workload, system, engine="event", load=load,
-                           warmup_fraction=0.0, flush_at_end=False)
-    _record_probe(ledger, result, seed, rate_rps, distribution,
-                  role="probe")
-    return _point_from_result(rate_rps, result), result
-
-
-def _record_probe(ledger, result: RunResult, seed: int,
-                  rate_rps: Optional[float], distribution: str,
-                  role: str) -> None:
+def _record(ledger, spec: RunSpec, outcome: SpecOutcome, role: str,
+            offered_rps: Optional[float]) -> None:
     """Append one loadtest run to the run ledger (duck-typed; the
     None / NULL_LEDGER default records nothing)."""
     if ledger is None or not getattr(ledger, "enabled", False):
         return
-    load = None if rate_rps is None \
-        else ["open", rate_rps, distribution, seed]
-    ledger.record(result, command="loadtest",
-                  spec={"seed": seed, "warmup_fraction": 0.0,
-                        "load": load},
-                  extra={"role": role, "offered_rps": rate_rps})
+    ledger.record(outcome.result, command="loadtest", spec=spec,
+                  extra={"role": role, "offered_rps": offered_rps},
+                  host_wall_s=outcome.host_wall_s)
 
 
 def _point_from_result(rate_rps: float, result: RunResult) -> RatePoint:
@@ -126,38 +104,53 @@ def _point_from_result(rate_rps: float, result: RunResult) -> RatePoint:
                        for name, s in queueing.stations.items()})
 
 
-def _rate_spec(base_spec, system_name: str, rate_rps: float,
-               distribution: str, seed: int):
-    """A RunSpec reproducing :func:`run_rate_point` exactly."""
-    from dataclasses import replace
+def _rate_spec(base: RunSpec, system_name: str, rate_rps: float,
+               distribution: str, seed: int) -> RunSpec:
+    """One open-loop probe of ``rate_rps`` against a fresh system.
 
-    return replace(base_spec, system=system_name, engine="event",
+    No warmup cut (the transient is part of what a rate probe measures)
+    and no end-of-run flush: the flush is constant bookkeeping that
+    would dilute low-rate efficiency and blur the knee.
+    """
+    return replace(base, system=system_name, engine="event",
                    warmup_fraction=0.0, preload=True, flush_at_end=False,
                    load=("open", rate_rps, distribution, seed))
 
 
-def calibrate_capacity(workload_factory, system_name: str,
+def _calibration_specs(base: RunSpec,
+                       system_names: Sequence[str]) -> List[RunSpec]:
+    """One saturating closed-loop run per system.
+
+    Enough zero-think clients (4x the workload's I/O concurrency, at
+    least 16) keep the bottleneck device permanently busy; one
+    throwaway workload build reads the concurrency.
+    """
+    clients = max(4 * base.build_workload().io_concurrency, 16)
+    return [replace(base, system=name, engine="event",
+                    warmup_fraction=0.0, preload=True,
+                    flush_at_end=False, load=("closed", clients, 0.0))
+            for name in system_names]
+
+
+def _calibrate(base: RunSpec, system_names: Sequence[str], jobs: int,
+               ledger) -> List[float]:
+    """Saturation throughput (requests/s) of each system."""
+    specs = _calibration_specs(base, system_names)
+    outcomes = parallel.run_specs(specs, jobs=jobs)
+    for spec, outcome in zip(specs, outcomes):
+        _record(ledger, spec, outcome, "calibrate", None)
+    return [outcome.result.requests_per_s for outcome in outcomes]
+
+
+def calibrate_capacity(base: RunSpec, system_name: str,
                        ledger=None) -> float:
     """The system's saturation throughput (requests/s).
 
-    One closed-loop run with enough zero-think clients to keep the
-    bottleneck device permanently busy; its achieved rate is the
-    ceiling every open-loop sweep point is measured against.
+    One closed-loop run that keeps the bottleneck device permanently
+    busy; its achieved rate is the ceiling every open-loop sweep point
+    is measured against.
     """
-    workload = workload_factory()
-    system = make_system(system_name, workload)
-    clients = max(4 * workload.io_concurrency, 16)
-    load = ClosedLoopLoad(clients=clients, think_s=0.0)
-    result = run_benchmark(workload, system, engine="event", load=load,
-                           warmup_fraction=0.0, flush_at_end=False)
-    if ledger is not None and getattr(ledger, "enabled", False):
-        ledger.record(result, command="loadtest",
-                      spec={"seed": getattr(workload, "seed", None),
-                            "warmup_fraction": 0.0,
-                            "load": ["closed", clients, 0.0]},
-                      extra={"role": "calibrate",
-                             "offered_rps": None})
-    return result.requests_per_s
+    return _calibrate(base, [system_name], 1, ledger)[0]
 
 
 def auto_rates(capacity_rps: float, points: int,
@@ -174,39 +167,37 @@ def auto_rates(capacity_rps: float, points: int,
     return [capacity_rps * (lo + i * step) for i in range(points)]
 
 
-def sweep_rates(workload_factory, system_name: str,
+def _probe(base: RunSpec, probes: Sequence[Tuple[str, float]],
+           distribution: str, seed: int, jobs: int,
+           ledger) -> List[RatePoint]:
+    """Measure each ``(system, offered rate)`` probe on a fresh system."""
+    specs = [_rate_spec(base, name, rate, distribution, seed)
+             for name, rate in probes]
+    outcomes = parallel.run_specs(specs, jobs=jobs)
+    points = []
+    for spec, (_name, rate), outcome in zip(specs, probes, outcomes):
+        _record(ledger, spec, outcome, "probe", rate)
+        points.append(_point_from_result(rate, outcome.result))
+    return points
+
+
+def sweep_rates(base: RunSpec, system_name: str,
                 rates: Sequence[float],
                 distribution: str = "poisson",
                 seed: int = 1234, jobs: int = 1,
-                base_spec=None, ledger=None) -> List[RatePoint]:
+                ledger=None) -> List[RatePoint]:
     """Measure each offered rate (ascending) on a fresh system.
 
-    Rate points are independent runs, so with ``jobs > 1`` *and* a
-    ``base_spec`` (a :class:`~repro.experiments.parallel.RunSpec`
-    describing the workload declaratively — factories don't pickle)
-    they fan out across worker processes; results are identical to the
-    serial path either way.
+    ``base`` describes the workload; ``seed`` seeds the arrivals.  Rate
+    points are independent runs, fanned out across ``jobs`` worker
+    processes with results identical at any job count.
 
     ``ledger`` records every probe under ``command="loadtest"`` —
     always in ascending-rate order, in this process, so the store is
     identical at any job count.
     """
-    rates = sorted(rates)
-    if jobs > 1 and base_spec is not None:
-        from repro.experiments.parallel import run_specs
-
-        specs = [_rate_spec(base_spec, system_name, rate, distribution,
-                            seed) for rate in rates]
-        outcomes = run_specs(specs, jobs=jobs)
-        for rate, outcome in zip(rates, outcomes):
-            _record_probe(ledger, outcome.result, seed, rate,
-                          distribution, role="probe")
-        return [_point_from_result(rate, outcome.result)
-                for rate, outcome in zip(rates, outcomes)]
-    return [run_rate_point(workload_factory, system_name, rate,
-                           distribution=distribution, seed=seed,
-                           ledger=ledger)[0]
-            for rate in rates]
+    return _probe(base, [(system_name, rate) for rate in sorted(rates)],
+                  distribution, seed, jobs, ledger)
 
 
 def find_knee(points: Sequence[RatePoint],
@@ -317,96 +308,32 @@ class SystemKnee:
     post_knee: RatePoint
 
 
-def compare_at_knee(workload_factory,
+def compare_at_knee(base: RunSpec,
                     system_names: Sequence[str] = SYSTEM_NAMES,
                     distribution: str = "poisson",
                     seed: int = 1234,
                     progress: bool = False,
                     jobs: int = 1,
-                    base_spec=None,
                     ledger=None) -> List[SystemKnee]:
     """Calibrate each architecture's capacity and probe both sides of
     its knee — the event-engine counterpart of the paper's Figure 6/10
     throughput comparisons.
 
-    With ``jobs > 1`` and a declarative ``base_spec`` the work runs in
-    two parallel waves: all capacity calibrations first (the probe
-    rates depend on them), then every system's pre/post-knee probe.
+    The work runs in two waves across ``jobs`` workers: all capacity
+    calibrations first (the probe rates depend on them), then every
+    system's pre/post-knee probe.
     """
-    if jobs > 1 and base_spec is not None:
-        return _compare_at_knee_parallel(base_spec, system_names,
-                                         distribution, seed, progress,
-                                         jobs, ledger=ledger)
-    reports = []
-    for name in system_names:
-        if progress:
-            print(f"  calibrating {name}...", file=sys.stderr)
-        capacity = calibrate_capacity(workload_factory, name,
-                                      ledger=ledger)
-        pre, _ = run_rate_point(workload_factory, name,
-                                capacity * DEFAULT_SPAN[0],
-                                distribution=distribution, seed=seed,
-                                ledger=ledger)
-        post, _ = run_rate_point(workload_factory, name,
-                                 capacity * DEFAULT_SPAN[1],
-                                 distribution=distribution, seed=seed,
-                                 ledger=ledger)
-        reports.append(SystemKnee(system=name, capacity_rps=capacity,
-                                  pre_knee=pre, post_knee=post))
-    return reports
-
-
-def _compare_at_knee_parallel(base_spec, system_names: Sequence[str],
-                              distribution: str, seed: int,
-                              progress: bool,
-                              jobs: int, ledger=None) -> List[SystemKnee]:
-    """Parallel :func:`compare_at_knee`: calibrations, then probes."""
-    from dataclasses import replace
-
-    from repro.experiments.parallel import run_specs
-
-    # Same client count calibrate_capacity derives (4x concurrency,
-    # min 16); one throwaway workload build reads the concurrency.
-    workload = base_spec.build_workload()
-    clients = max(4 * workload.io_concurrency, 16)
-    calibrations = [replace(base_spec, system=name, engine="event",
-                            warmup_fraction=0.0, preload=True,
-                            flush_at_end=False,
-                            load=("closed", clients, 0.0))
-                    for name in system_names]
     if progress:
         print(f"  calibrating {len(system_names)} systems "
               f"({jobs} jobs)...", file=sys.stderr)
-    calibration_outcomes = run_specs(calibrations, jobs=jobs)
-    recording = ledger is not None and getattr(ledger, "enabled", False)
-    if recording:
-        for outcome in calibration_outcomes:
-            ledger.record(outcome.result, command="loadtest",
-                          spec={"seed": base_spec.seed,
-                                "warmup_fraction": 0.0,
-                                "load": ["closed", clients, 0.0]},
-                          extra={"role": "calibrate",
-                                 "offered_rps": None},
-                          host_wall_s=outcome.host_wall_s)
-    capacities = [outcome.result.requests_per_s
-                  for outcome in calibration_outcomes]
-    probe_specs, probe_rates = [], []
-    for name, capacity in zip(system_names, capacities):
-        for fraction in DEFAULT_SPAN:
-            rate = capacity * fraction
-            probe_specs.append(_rate_spec(base_spec, name, rate,
-                                          distribution, seed))
-            probe_rates.append(rate)
+    capacities = _calibrate(base, system_names, jobs, ledger)
+    probes = [(name, capacity * fraction)
+              for name, capacity in zip(system_names, capacities)
+              for fraction in DEFAULT_SPAN]
     if progress:
-        print(f"  probing {len(probe_specs)} knee points "
+        print(f"  probing {len(probes)} knee points "
               f"({jobs} jobs)...", file=sys.stderr)
-    probe_outcomes = run_specs(probe_specs, jobs=jobs)
-    if recording:
-        for rate, outcome in zip(probe_rates, probe_outcomes):
-            _record_probe(ledger, outcome.result, seed, rate,
-                          distribution, role="probe")
-    points = [_point_from_result(rate, outcome.result)
-              for rate, outcome in zip(probe_rates, probe_outcomes)]
+    points = _probe(base, probes, distribution, seed, jobs, ledger)
     return [SystemKnee(system=name, capacity_rps=capacity,
                        pre_knee=points[2 * i], post_knee=points[2 * i + 1])
             for i, (name, capacity)

@@ -32,6 +32,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
+from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,11 +61,13 @@ class DatasetArena:
     the content.  Lifetime contract: the *publishing* process owns every
     segment and is the only one that unlinks, via :meth:`release`
     (called from :func:`shutdown_parallel`, the ``parallel_session``
-    context manager, and an ``atexit`` hook, so interrupted runs do not
-    leak ``/dev/shm`` entries).  Workers only ever open existing
-    segments read-only and unregister them from their own resource
-    tracker; a worker that dies — even ``SIGKILL`` — therefore cannot
-    take a segment down with it.
+    context manager, and an ``atexit`` hook).  Workers share the
+    publisher's ``multiprocessing`` resource tracker (started before
+    the pool, see :func:`_ensure_pool`) and only ever open existing
+    segments read-only, leaving the publisher's registration in place:
+    a worker that dies — even ``SIGKILL`` — cannot take a segment down
+    with it, and if the publisher itself is killed the tracker unlinks
+    every segment it still holds.
     """
 
     def __init__(self) -> None:
@@ -138,6 +141,9 @@ def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
     if _pool is not None and _pool_workers < jobs:
         _discard_pool(wait=True)
     if _pool is None:
+        # Workers inherit the tracker running at pool start, so segments
+        # they attach stay registered to the publisher (DatasetArena).
+        resource_tracker.ensure_running()
         _pool = ProcessPoolExecutor(max_workers=jobs)
         _pool_workers = jobs
     return _pool
@@ -355,7 +361,6 @@ def _publish_for_specs(specs: Sequence[RunSpec]
 def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
               timeout_s: float = DEFAULT_TIMEOUT_S,
               progress: Optional[Callable[[RunSpec], None]] = None,
-              use_arena: bool = True,
               ) -> List[SpecOutcome]:
     """Run every spec; return outcomes in input order.
 
@@ -365,8 +370,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     worker finishes first.  The pool is *persistent* — reused and grown
     across calls (see :func:`_ensure_pool`) until
     :func:`shutdown_parallel` or process exit — and each task carries
-    the arena directory of parent-published datasets unless
-    ``use_arena=False``.
+    the arena directory of parent-published datasets.
 
     A crashed (``BrokenExecutor``/``OSError``) or wedged (per-run
     ``timeout_s``) pool is abandoned and the *missing* runs — and only
@@ -383,7 +387,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
             outcomes[index] = _serial_outcome(spec)
         return outcomes  # type: ignore[return-value]
 
-    refs = _publish_for_specs(specs) if use_arena else {}
+    refs = _publish_for_specs(specs)
     pool_failed = False
     try:
         pool = _ensure_pool(jobs)

@@ -598,23 +598,3 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
         attribution=profiler.table if profiler is not None else None,
         faults=injector.report() if injector is not None else None)
 
-
-def run_grid(workload_factory, system_names,
-             verify_reads: bool = False,
-             warmup_fraction: float = 0.25) -> Dict[str, RunResult]:
-    """Run one workload across several architectures.
-
-    ``workload_factory`` must build a *fresh* workload per call (streams
-    are restartable, but a fresh instance keeps shadow state per system
-    when verification is on).  Returns ``{system name: RunResult}``.
-    """
-    from repro.experiments.systems import make_system
-
-    results: Dict[str, RunResult] = {}
-    for name in system_names:
-        workload = workload_factory()
-        system = make_system(name, workload)
-        results[name] = run_benchmark(workload, system,
-                                      verify_reads=verify_reads,
-                                      warmup_fraction=warmup_fraction)
-    return results

@@ -2,17 +2,15 @@
 
 The ablation benches each sweep one knob by hand; this module offers the
 same capability as a reusable API, so downstream users can explore the
-configuration space (`sweep_config`) or workload space (`sweep_workload`)
-without writing runner plumbing.
+configuration space without writing runner plumbing.
 
 Example::
 
+    from repro.experiments.parallel import RunSpec
     from repro.experiments.sweeps import sweep_config
-    from repro.workloads import SysBenchWorkload
 
-    points = sweep_config(
-        lambda: SysBenchWorkload(n_requests=6000),
-        "scan_interval", [250, 500, 1000, 2000])
+    points = sweep_config(RunSpec(workload="sysbench", n_requests=6000),
+                          "scan_interval", [250, 500, 1000, 2000])
     for point in points:
         print(point.value, point.result.transactions_per_s)
 """
@@ -20,12 +18,11 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Sequence
+from typing import List, Sequence
 
-from repro.core import ICASHController
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import make_icash_config, make_system
-from repro.workloads.base import Workload
+from repro.experiments import parallel
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import RunResult
 
 
 @dataclass
@@ -41,90 +38,35 @@ class SweepPoint:
                 f"tx/s={self.result.transactions_per_s:.1f})")
 
 
-def sweep_config(workload_factory: Callable[[], Workload],
-                 parameter: str, values: Sequence[object],
+def sweep_config(base: RunSpec, parameter: str, values: Sequence[object],
                  warmup_fraction: float = 0.4,
                  preload: bool = True,
                  jobs: int = 1,
-                 base_spec=None,
                  ledger=None) -> List[SweepPoint]:
     """Run I-CASH once per value of one :class:`ICASHConfig` field.
 
-    Each point gets a fresh workload (same seed → same trace) and a fresh
-    controller built from the workload's standard configuration with
-    ``parameter`` overridden.
-
-    Points are independent runs, so with ``jobs > 1`` *and* a
-    ``base_spec`` (a :class:`~repro.experiments.parallel.RunSpec`
-    describing the workload declaratively — factories don't pickle)
-    they fan out across worker processes, with results identical to the
-    serial path.
+    ``base`` describes the workload; each point runs it (same seed →
+    same trace) against a fresh controller built from the workload's
+    standard configuration with ``parameter`` overridden.  Points are
+    independent runs, fanned out across ``jobs`` worker processes.
 
     ``ledger`` (a :class:`repro.ledger.LedgerWriter`) records every
     point under ``command="sweep"`` — always in value order, in this
     process, so the store is identical at any job count.
     """
-    if jobs > 1 and base_spec is not None:
-        from repro.experiments.parallel import run_specs
-
-        specs = [replace(base_spec, system="icash",
-                         warmup_fraction=warmup_fraction,
-                         preload=preload,
-                         config_overrides=((parameter, value),))
-                 for value in values]
-        outcomes = run_specs(specs, jobs=jobs)
-        points = [SweepPoint(parameter, value, outcome.result)
-                  for value, outcome in zip(values, outcomes)]
-        for spec, outcome in zip(specs, outcomes):
-            _record_point(ledger, outcome.result, spec, parameter,
+    values = list(values)
+    specs = [replace(base, system="icash",
+                     warmup_fraction=warmup_fraction, preload=preload,
+                     config_overrides=((parameter, value),))
+             for value in values]
+    outcomes = parallel.run_specs(specs, jobs=jobs)
+    if ledger is not None and getattr(ledger, "enabled", False):
+        for spec, value, outcome in zip(specs, values, outcomes):
+            ledger.record(outcome.result, command="sweep", spec=spec,
+                          extra={"parameter": parameter, "value": value},
                           host_wall_s=outcome.host_wall_s)
-        return points
-    points: List[SweepPoint] = []
-    for value in values:
-        workload = workload_factory()
-        config = replace(make_icash_config(workload),
-                         **{parameter: value})
-        system = ICASHController(workload.build_dataset(), config)
-        result = run_benchmark(workload, system,
-                               warmup_fraction=warmup_fraction,
-                               preload=preload)
-        points.append(SweepPoint(parameter, value, result))
-        _record_point(ledger, result, None, parameter,
-                      overrides=((parameter, value),),
-                      seed=getattr(workload, "seed", None),
-                      warmup_fraction=warmup_fraction)
-    return points
-
-
-def _record_point(ledger, result: RunResult, spec, parameter: str,
-                  overrides=None, seed=None,
-                  warmup_fraction=None, host_wall_s=None) -> None:
-    """Append one sweep point to the run ledger (duck-typed; the
-    None / NULL_LEDGER default records nothing)."""
-    if ledger is None or not getattr(ledger, "enabled", False):
-        return
-    if spec is None:
-        spec = {"seed": seed, "warmup_fraction": warmup_fraction,
-                "config_overrides": list(overrides or ())}
-    value = dict(spec["config_overrides"]
-                 if isinstance(spec, dict)
-                 else spec.config_overrides)[parameter]
-    ledger.record(result, command="sweep", spec=spec,
-                  extra={"parameter": parameter, "value": value},
-                  host_wall_s=host_wall_s)
-
-
-def sweep_workload(workload_factories: Iterable[Callable[[], Workload]],
-                   system_name: str = "icash",
-                   warmup_fraction: float = 0.4) -> List[RunResult]:
-    """Run one architecture across several workloads."""
-    results: List[RunResult] = []
-    for factory in workload_factories:
-        workload = factory()
-        system = make_system(system_name, workload)
-        results.append(run_benchmark(workload, system,
-                                     warmup_fraction=warmup_fraction))
-    return results
+    return [SweepPoint(parameter, value, outcome.result)
+            for value, outcome in zip(values, outcomes)]
 
 
 def render_sweep(points: Sequence[SweepPoint],

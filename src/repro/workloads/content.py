@@ -96,19 +96,15 @@ def _attach_shared(key: DatasetKey) -> Optional[np.ndarray]:
         return None
     name, shape = ref
     try:
+        # Attaching re-registers the name with the resource tracker this
+        # worker shares with the publisher, a no-op there.  It must not
+        # be unregistered: that would drop the publisher's own entry, so
+        # a killed publisher would leak the segment.
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(name=name)
     except (ImportError, FileNotFoundError, OSError):
         del _shared_refs[key]
         return None
-    try:
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it at exit behind the owner's
-        # back; the owning (publishing) process manages the lifetime.
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
     _shared_handles.append(shm)
     array = np.ndarray(shape, dtype=np.uint8, buffer=shm.buf)
     array.flags.writeable = False

@@ -2,10 +2,44 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+
 import numpy as np
 import pytest
 
 from repro.sim.request import BLOCK_SIZE
+
+#: Untracked directories the test tooling itself maintains.
+TOOL_CACHES = {".pytest_cache", ".hypothesis", "__pycache__"}
+
+
+def _tree_entries():
+    """``git status --porcelain --ignored`` lines outside the tool
+    caches; None outside a git checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--ignored"], cwd=root,
+            check=True, capture_output=True, text=True, timeout=60,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return {line for line in out.splitlines()
+            if not TOOL_CACHES & set(line[3:].strip('"').split("/"))}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _clean_working_tree():
+    """Fail the session if the tests leave anything in the working tree
+    (outputs belong under ``tmp_path``)."""
+    before = _tree_entries()
+    yield
+    after = _tree_entries()
+    if before is not None and after is not None:
+        residue = sorted(after - before)
+        assert not residue, \
+            "tests left residue in the working tree: " + ", ".join(residue)
 
 
 @pytest.fixture(autouse=True)

@@ -235,15 +235,14 @@ class TestHeatmapBatch:
 
 
 # ---------------------------------------------------------------------------
-# Batched similarity scan: three-way equivalence
+# Batched similarity scan: equivalence with the direct oracle
 # ---------------------------------------------------------------------------
 
 
 class TestScannerBatchEquivalence:
     @staticmethod
-    def _outcome(blocks, incremental, batched):
+    def _outcome(blocks, scanner_cls):
         from repro.core.cache import ICashCache
-        from repro.core.similarity import SimilarityScanner
         from repro.core.virtual_block import BlockKind, VirtualBlock
         from repro.delta.segments import SegmentPool
 
@@ -257,11 +256,9 @@ class TestScannerBatchEquivalence:
             cache.insert(vb)
             cache.attach_data(vb, content)
             heatmap.record(vb.signatures)
-        scanner = SimilarityScanner(heatmap, min_signature_match=4,
-                                    delta_accept_bytes=2048,
-                                    scan_compare_s=2e-6, compress_s=15e-6,
-                                    use_incremental_index=incremental,
-                                    use_batch_match=batched)
+        scanner = scanner_cls(heatmap, min_signature_match=4,
+                              delta_accept_bytes=2048,
+                              scan_compare_s=2e-6, compress_s=15e-6)
         result = scanner.scan(cache, window=100, max_new_references=50,
                               content_fn=lambda vb: vb.data)
         return {
@@ -272,7 +269,11 @@ class TestScannerBatchEquivalence:
             "cpu_time": result.cpu_time,
         }
 
-    def test_three_way_equivalence(self):
+    def test_batched_scan_matches_direct_oracle(self):
+        from repro.core.similarity import SimilarityScanner
+
+        from oracles import DirectScanner
+
         for seed in range(5):
             rng = np.random.default_rng(seed)
             blocks = []
@@ -288,18 +289,14 @@ class TestScannerBatchEquivalence:
                 blocks.append((lba, rng.integers(0, 256, BLOCK_SIZE,
                                                  dtype=np.uint8)))
                 lba += 1
-            direct = self._outcome(blocks, incremental=False,
-                                   batched=False)
-            indexed = self._outcome(blocks, incremental=True,
-                                    batched=False)
-            batched = self._outcome(blocks, incremental=True,
-                                    batched=True)
-            assert direct == indexed == batched, \
+            direct = self._outcome(blocks, DirectScanner)
+            batched = self._outcome(blocks, SimilarityScanner)
+            assert direct == batched, \
                 f"scan paths diverged for seed {seed}"
 
 
 # ---------------------------------------------------------------------------
-# Batched ingest sweep: speculative encode equals the scalar reference
+# Batched ingest sweep: speculative encode equals the scalar oracle
 # ---------------------------------------------------------------------------
 
 
@@ -308,9 +305,11 @@ class TestIngestSweepEquivalence:
     def _ingested(workload_cls, batch, chunk):
         from repro.core.controller import ICASHController
 
+        from oracles import ScalarIngestController
+
         workload = workload_cls(scale=0.02, n_requests=1, seed=17)
-        controller = ICASHController(workload.build_dataset())
-        controller.use_batch_ingest = batch
+        cls = ICASHController if batch else ScalarIngestController
+        controller = cls(workload.build_dataset())
         controller.INGEST_CHUNK = chunk
         setup_s = controller.ingest()
         return controller, setup_s
@@ -511,15 +510,41 @@ class TestReconstructionMemo:
 # ---------------------------------------------------------------------------
 
 
-def _attach_and_die(name):  # pragma: no cover - runs in a child process
-    from multiprocessing import shared_memory, resource_tracker
+def _attach_and_die(name, shape):  # pragma: no cover - child process
+    from repro.workloads import content as content_model
 
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+    content_model.register_shared_datasets({"key": (name, shape)})
+    assert content_model._attach_shared("key") is not None
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+#: Two fan-out waves over different workloads: the second publishes a
+#: segment after the pool forked, so the workers attach it by name.
+_TWO_WAVES = """
+import json, multiprocessing, os, sys, time
+from repro.experiments.parallel import RunSpec, run_specs, shutdown_parallel
+for workload in ("sysbench", "rubis"):
+    run_specs([RunSpec(workload=workload, system=system, n_requests=60,
+                       scale=0.05) for system in ("icash", "lru")], jobs=2)
+if sys.argv[1] == "shutdown":
+    shutdown_parallel()
+else:
+    print(json.dumps([os.getpid()] + [child.pid for child in
+                     multiprocessing.active_children()]), flush=True)
+    time.sleep(120)
+"""
+
+
+def _two_waves(mode):
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, "-c", _TWO_WAVES, mode], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 class TestDatasetArena:
@@ -549,9 +574,9 @@ class TestDatasetArena:
         data = rng.integers(0, 256, size=(4, BLOCK_SIZE), dtype=np.uint8)
         arena = DatasetArena()
         try:
-            name, _shape = arena.publish("key", data)
+            name, shape = arena.publish("key", data)
             ctx = multiprocessing.get_context("fork")
-            child = ctx.Process(target=_attach_and_die, args=(name,))
+            child = ctx.Process(target=_attach_and_die, args=(name, shape))
             child.start()
             child.join(timeout=30)
             assert child.exitcode == -signal.SIGKILL
@@ -576,6 +601,38 @@ class TestDatasetArena:
         parallel.shutdown_parallel()
         for name in names:
             assert not os.path.exists(os.path.join("/dev/shm", name))
+
+
+class TestArenaTracker:
+    """Workers share the publisher's resource tracker; attaching must
+    leave the publisher's registration of each segment in place."""
+
+    def test_second_wave_shutdown_is_clean(self):
+        proc = _two_waves("shutdown")
+        _out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert err == "", err
+
+    def test_killed_publisher_leaks_no_segments(self):
+        import glob
+        import time
+
+        proc = _two_waves("kill")
+        line = proc.stdout.readline()
+        if not line:
+            proc.kill()
+            pytest.fail(proc.communicate(timeout=60)[1])
+        pids = json.loads(line)
+        pattern = f"/dev/shm/repro-arena-{pids[0]}-*"
+        assert len(glob.glob(pattern)) == 2
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        proc.communicate(timeout=60)
+        # The tracker unlinks what the dead publisher still held.
+        deadline = time.monotonic() + 30
+        while glob.glob(pattern) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert glob.glob(pattern) == []
 
 
 class TestPersistentPool:
@@ -615,9 +672,15 @@ class TestPersistentPool:
                          n_requests=150, scale=0.05)
                  for system in ("icash", "lru")]
         try:
-            shared = run_specs(specs, jobs=2, use_arena=True)
-            assert len(parallel._get_arena()) > 0
-            plain = run_specs(specs, jobs=2, use_arena=False)
+            # Fork the pool before sysbench is built, so the workers
+            # attach its dataset from the arena instead of inheriting it.
+            run_specs([RunSpec(workload="rubis", system=system,
+                               n_requests=50, scale=0.05)
+                       for system in ("icash", "lru")], jobs=2)
+            shared = run_specs(specs, jobs=2)
+            assert len(parallel._get_arena()) > 1
+            content_model.clear_dataset_cache()
+            plain = run_specs(specs, jobs=1)  # in-process local build
         finally:
             parallel.shutdown_parallel()
         for left, right in zip(shared, plain):

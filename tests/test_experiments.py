@@ -8,7 +8,8 @@ from repro.experiments import paperdata
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_check,
                                       shape_score, speedup_summary)
-from repro.experiments.runner import run_benchmark, run_grid
+from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
@@ -84,8 +85,10 @@ class TestRunner:
                           warmup_fraction=1.0)
 
     def test_run_grid_covers_all_systems(self):
-        results = run_grid(lambda: tiny_workload(), SYSTEM_NAMES)
-        assert set(results) == set(SYSTEM_NAMES)
+        outcomes = run_specs([RunSpec(workload="sysbench", system=name,
+                                      scale=0.05, n_requests=300)
+                              for name in SYSTEM_NAMES])
+        assert [o.result.system for o in outcomes] == list(SYSTEM_NAMES)
 
     def test_tx_response_and_scores_positive(self):
         workload = tiny_workload()

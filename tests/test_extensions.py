@@ -8,11 +8,10 @@ from repro.baselines import PureSSD, RAID0Storage
 from repro.cli import main as cli_main
 from repro.core import ICASHConfig, ICASHController
 from repro.devices.nvram import NVRAM, NVRAMSpec
-from repro.experiments.sweeps import (SweepPoint, render_sweep,
-                                      sweep_config, sweep_workload)
+from repro.experiments.parallel import RunSpec
+from repro.experiments.sweeps import SweepPoint, render_sweep, sweep_config
 from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
-from repro.workloads import SysBenchWorkload
 
 from conftest import make_block, make_dataset
 from test_core_controller import family_dataset, small_config
@@ -167,22 +166,15 @@ class TestHostPageCache:
 class TestSweeps:
     def test_sweep_config_runs_each_value(self):
         points = sweep_config(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=400),
+            RunSpec(workload="sysbench", scale=0.05, n_requests=400),
             "scan_interval", [200, 400])
         assert [p.value for p in points] == [200, 400]
         assert all(isinstance(p, SweepPoint) for p in points)
         assert all(p.result.transactions_per_s > 0 for p in points)
 
-    def test_sweep_workload(self):
-        results = sweep_workload([
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300, seed=1),
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300, seed=2),
-        ])
-        assert len(results) == 2
-
     def test_render_sweep(self):
         points = sweep_config(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300),
+            RunSpec(workload="sysbench", scale=0.05, n_requests=300),
             "scan_interval", [250])
         text = render_sweep(points)
         assert "scan_interval" in text
@@ -194,7 +186,7 @@ class TestSweeps:
     def test_bad_parameter_raises(self):
         with pytest.raises(TypeError):
             sweep_config(
-                lambda: SysBenchWorkload(scale=0.05, n_requests=300),
+                RunSpec(workload="sysbench", scale=0.05, n_requests=300),
                 "not_a_field", [1])
 
 
@@ -212,6 +204,21 @@ class TestCLI:
 
     def test_unknown_figure_fails_cleanly(self, capsys):
         assert cli_main(["figure", "figure99"]) == 2
+
+    def test_figure_honours_requests(self, capsys):
+        from repro.experiments import figures
+
+        figures.clear_cache()
+        try:
+            assert cli_main(["figure", "figure14",
+                             "--requests", "300"]) == 0
+            (key,) = figures._GRID_CACHE
+            assert key == figures._grid_key("rubis", 300, 2011)
+            cells = figures._GRID_CACHE[key]
+            assert all(run.n_requests == 300 for run in cells.values())
+        finally:
+            figures.clear_cache()
+        assert "Figure 14" in capsys.readouterr().out
 
     def test_sweep(self, capsys):
         assert cli_main(["sweep", "scan_interval", "300",

@@ -271,11 +271,12 @@ class TestEntryPoints:
         assert all(row.spec["seed"] == 777 for row in store.rows())
 
     def test_sweep_records_each_point(self, tmp_path):
+        from repro.experiments.parallel import RunSpec
         from repro.experiments.sweeps import sweep_config
-        from repro.workloads import SysBenchWorkload
 
         store = _writer(tmp_path)
-        sweep_config(lambda: SysBenchWorkload(scale=0.05, n_requests=300),
+        sweep_config(RunSpec(workload="sysbench", scale=0.05,
+                             n_requests=300),
                      "scan_interval", [200, 800], ledger=store)
         rows = store.rows()
         assert [row.extra["value"] for row in rows] == [200, 800]
@@ -285,17 +286,19 @@ class TestEntryPoints:
 
     def test_loadtest_records_probe(self, tmp_path):
         from repro.experiments import loadtest
-        from repro.workloads import SysBenchWorkload
+        from repro.experiments.parallel import RunSpec
 
         store = _writer(tmp_path)
-        loadtest.run_rate_point(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300),
-            "icash", 500.0, seed=99, ledger=store)
+        loadtest.sweep_rates(
+            RunSpec(workload="sysbench", scale=0.05, n_requests=300,
+                    seed=2011),
+            "icash", [500.0], seed=99, ledger=store)
         (row,) = store.rows()
         assert row.command == "loadtest"
         assert row.extra == {"role": "probe", "offered_rps": 500.0}
+        # The workload seed in ``seed``, the arrival seed in ``load``.
         assert row.spec["load"] == ["open", 500.0, "poisson", 99]
-        assert row.spec["seed"] == 99
+        assert row.spec["seed"] == 2011
 
     def test_chaos_records_verdict_context(self, tmp_path):
         from repro.experiments import chaos
@@ -526,6 +529,30 @@ class TestDeterminism:
         assert exports[1], "canonical export came out empty"
         for line in exports[1].decode().splitlines():
             assert "volatile" not in json.loads(line)
+
+    def test_sweep_and_knee_exports_identical_across_jobs(self, tmp_path):
+        from repro.experiments import loadtest
+        from repro.experiments.parallel import RunSpec
+        from repro.experiments.sweeps import sweep_config
+
+        base = RunSpec(workload="sysbench", scale=0.05, n_requests=200)
+        exports = {}
+        for jobs in (1, 2):
+            store = _writer(tmp_path, f"jobs{jobs}", clock=lambda: 1.5)
+            sweep_config(base, "scan_interval", [200, 800], jobs=jobs,
+                         ledger=store)
+            loadtest.compare_at_knee(base, ("icash", "raid0"), jobs=jobs,
+                                     ledger=store)
+            path = tmp_path / f"canon{jobs}.jsonl"
+            store.export(str(path), canonical=True)
+            exports[jobs] = path.read_bytes()
+        assert exports[1] == exports[2]
+        rows = [json.loads(line)
+                for line in exports[1].decode().splitlines()]
+        assert [row["command"] for row in rows] \
+            == ["sweep"] * 2 + ["loadtest"] * 6
+        assert all(row["spec"]["seed"] == 2011 for row in rows)
+        assert all(row["spec"]["n_vms"] == 0 for row in rows)
 
     def test_concurrent_recorders_cannot_corrupt(self, tmp_path):
         root = str(tmp_path / "shared")

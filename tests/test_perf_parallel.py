@@ -31,7 +31,10 @@ from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import apply_delta, encode_delta
 from repro.delta.segments import SegmentPool
+from repro.experiments.parallel import run_spec
 from repro.sim.request import BLOCK_SIZE
+
+from oracles import DirectScanner
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +119,11 @@ def _make_cache():
 
 
 def _make_scanner(heatmap, incremental):
-    return SimilarityScanner(heatmap, min_signature_match=4,
-                             delta_accept_bytes=2048,
-                             scan_compare_s=2e-6, compress_s=15e-6,
-                             use_incremental_index=incremental)
+    """The production scanner, or the direct oracle that rebuilds its
+    signature index on every scan."""
+    cls = SimilarityScanner if incremental else DirectScanner
+    return cls(heatmap, min_signature_match=4, delta_accept_bytes=2048,
+               scan_compare_s=2e-6, compress_s=15e-6)
 
 
 def _populate(cache, heatmap, blocks):
@@ -304,7 +308,7 @@ class TestRunResultPayload:
                                workload="sysbench", system="icash",
                                engine=engine, seed=2011, n_requests=300,
                                scale=0.05)
-        original = bench.run_case(case)
+        original = run_spec(bench.case_spec(case))
         payload = pickle.loads(pickle.dumps(original.to_payload()))
         rebuilt = RunResult.from_payload(payload)
         assert json.dumps(bench.case_record(case, original),
@@ -316,7 +320,7 @@ class TestRunResultPayload:
         from repro.experiments import bench
 
         case = bench.QUICK_SUITE[0]
-        payload = bench.run_case(case).to_payload()
+        payload = run_spec(bench.case_spec(case)).to_payload()
         json.dumps(payload)  # no live simulator objects inside
 
 
@@ -373,13 +377,10 @@ class TestParallelDeterminism:
     def test_sweep_points_identical_with_jobs(self):
         from repro.experiments.parallel import RunSpec
         from repro.experiments.sweeps import sweep_config
-        from repro.workloads import SysBenchWorkload
 
-        factory = lambda: SysBenchWorkload(n_requests=400)  # noqa: E731
         base = RunSpec(workload="sysbench", n_requests=400)
-        serial = sweep_config(factory, "scan_interval", [200, 800])
-        fanned = sweep_config(factory, "scan_interval", [200, 800],
-                              jobs=2, base_spec=base)
+        serial = sweep_config(base, "scan_interval", [200, 800])
+        fanned = sweep_config(base, "scan_interval", [200, 800], jobs=2)
         for left, right in zip(serial, fanned):
             assert left.value == right.value
             assert left.result.transactions_per_s \
@@ -398,7 +399,7 @@ class TestFigureGridCache:
         assert _grid_key("sysbench", 501, 2011) != key
 
     def test_prewarm_installs_exact_cells(self, monkeypatch):
-        from repro.experiments import figures
+        from repro.experiments import figures, parallel
 
         figures.clear_cache()
         ran = figures.prewarm(["figure6a"], n_requests=300, jobs=1)
@@ -407,16 +408,16 @@ class TestFigureGridCache:
         # The figure function must now be served from cache: a grid
         # re-run would mean the prewarm keys missed.
         def _fail(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("run_grid called despite prewarm")
+            raise AssertionError("grid re-run despite prewarm")
 
-        monkeypatch.setattr(figures, "run_grid", _fail)
+        monkeypatch.setattr(parallel, "run_specs", _fail)
         result = figures.figure6a(n_requests=300)
         assert set(result.measured) == set(result.paper)
         assert figures.prewarm(["figure6a"], n_requests=300) == 0
         figures.clear_cache()
 
     def test_different_requests_do_not_collide(self, monkeypatch):
-        from repro.experiments import figures
+        from repro.experiments import figures, parallel
 
         figures.clear_cache()
         figures.prewarm(["figure6a"], n_requests=300)
@@ -424,7 +425,7 @@ class TestFigureGridCache:
         def _fail(*args, **kwargs):
             raise AssertionError("cache collision across n_requests")
 
-        monkeypatch.setattr(figures, "run_grid", _fail)
+        monkeypatch.setattr(parallel, "run_specs", _fail)
         with pytest.raises(AssertionError):
             figures.figure6a(n_requests=301)
         figures.clear_cache()

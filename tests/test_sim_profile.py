@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.experiments import bench
+from repro.experiments.parallel import run_spec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
@@ -299,7 +300,8 @@ class TestBenchHarness:
         return {
             "schema_version": bench.BENCH_SCHEMA_VERSION,
             "suite": "quick",
-            "cases": [bench.case_record(case, bench.run_case(case))],
+            "cases": [bench.case_record(
+                case, run_spec(bench.case_spec(case)))],
         }
 
     def test_case_record_shape(self):
@@ -434,7 +436,8 @@ class TestCLI:
         worse_path = tmp_path / "WORSE.json"
         worse_path.write_text(json.dumps(worse))
         code = main(["bench", "--compare", str(baseline_path),
-                     "--against", str(worse_path)])
+                     "--against", str(worse_path),
+                     "--out-dir", str(tmp_path)])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
